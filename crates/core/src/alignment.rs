@@ -21,11 +21,22 @@
 //! All the ablation switches of [`WikiMatchConfig`]
 //! act here, which is what the component-contribution experiments (Table 3 /
 //! Figure 3) exercise.
+//!
+//! Cost scales with the candidates that carry direct evidence: queued pairs
+//! with none are dropped up front whenever they provably cannot change the
+//! result, and revision scores pairs against a frozen, language-partitioned
+//! view of the clusters with packed occurrence patterns. The result is the
+//! same [`MatchSet`], bit for bit, as the textbook formulation
+//! (`tests/alignment_equivalence.rs` keeps that formulation as its oracle).
+
+use wiki_corpus::Language;
 
 use crate::config::{CandidateOrdering, WikiMatchConfig};
 use crate::matches::MatchSet;
 use crate::schema::DualSchema;
-use crate::similarity::{CandidatePair, SimilarityTable};
+use crate::similarity::{
+    pack_occurrence_patterns, packed_co_occurrences, CandidatePair, SimilarityTable,
+};
 
 /// The attribute-alignment algorithm over one dual-language schema.
 #[derive(Debug, Clone)]
@@ -51,6 +62,7 @@ impl<'a> AttributeAlignment<'a> {
 
     /// Runs the full algorithm and returns the set of matches.
     pub fn run(&self) -> MatchSet {
+        let _span = wiki_obs::Span::enter("align");
         let mut matches = MatchSet::new();
         let mut uncertain: Vec<CandidatePair> = Vec::new();
 
@@ -85,10 +97,15 @@ impl<'a> AttributeAlignment<'a> {
     }
 
     /// Builds the candidate queue: pairs above `TLSI`, ordered according to
-    /// the configuration.
+    /// the configuration, without the pairs
+    /// [`zero_evidence_is_inert`] allows dropping.
     fn ordered_candidates(&self) -> Vec<CandidatePair> {
+        let inert = zero_evidence_is_inert(&self.config);
+        let keep = |pair: &CandidatePair| !(inert && self.evidence(pair) <= 0.0);
         match self.config.ordering {
-            CandidateOrdering::Lsi => self.table.above_lsi(self.config.t_lsi),
+            // Filtering before the sort keeps the survivors' relative
+            // order: the comparator is a total order.
+            CandidateOrdering::Lsi => self.table.above_lsi_where(self.config.t_lsi, keep),
             CandidateOrdering::MaxSimilarity => {
                 let mut pairs: Vec<CandidatePair> = self
                     .table
@@ -108,8 +125,11 @@ impl<'a> AttributeAlignment<'a> {
                 pairs
             }
             CandidateOrdering::Random => {
+                // The permutation depends on the queue length: shuffle the
+                // full queue, then filter.
                 let mut pairs = self.table.above_lsi(self.config.t_lsi);
                 deterministic_shuffle(&mut pairs, self.config.ordering_seed);
+                pairs.retain(keep);
                 pairs
             }
         }
@@ -165,6 +185,9 @@ impl<'a> AttributeAlignment<'a> {
         if !self.config.use_inductive_grouping {
             return uncertain.to_vec();
         }
+        // `matches` is frozen while scoring, so its language partition is
+        // built once for every pair.
+        let scorer = GroupingScorer::new(self.schema, matches);
         let mut revised: Vec<(f64, CandidatePair)> = uncertain
             .iter()
             .filter_map(|pair| {
@@ -175,7 +198,7 @@ impl<'a> AttributeAlignment<'a> {
                 if self.evidence(pair) <= 0.0 {
                     return None;
                 }
-                let score = self.inductive_grouping_score(pair, matches);
+                let score = scorer.inductive_grouping_score(pair.p, pair.q);
                 (score > self.config.t_eg).then_some((score, *pair))
             })
             .collect();
@@ -188,38 +211,117 @@ impl<'a> AttributeAlignment<'a> {
         });
         revised.into_iter().map(|(_, pair)| pair).collect()
     }
+}
 
-    /// The inductive grouping score `eg(a, a')` of Section 3.4: the average
+/// True when a queued pair without direct evidence (`evidence <= 0`)
+/// cannot change the match set, so the queue may leave it out:
+///
+/// * the certain phase never accepts it — `single_step` needs positive
+///   evidence, otherwise `t_sim >= 0` does the same;
+/// * the revision phase never integrates it — revision is off, or
+///   inductive grouping discards such pairs before scoring.
+///
+/// The pair would only ever sit in the uncertain buffer.
+fn zero_evidence_is_inert(config: &WikiMatchConfig) -> bool {
+    let never_certain = config.single_step || config.t_sim >= 0.0;
+    let never_revised =
+        config.single_step || !config.use_revise_uncertain || config.use_inductive_grouping;
+    never_certain && never_revised
+}
+
+/// The match set as `ReviseUncertain` reads it: each cluster's members
+/// split by language (member order kept), plus every attribute's
+/// occurrence pattern packed into `u64` words, so `g(p, q)` is an AND and a
+/// popcount and scoring a pair allocates nothing.
+struct GroupingScorer {
+    /// Language class of each attribute (index into the distinct languages).
+    language: Vec<usize>,
+    /// Number of distinct languages.
+    languages: usize,
+    clusters: usize,
+    /// Members of cluster `c` in language class `l` are
+    /// `members[offsets[c * languages + l]..offsets[c * languages + l + 1]]`.
+    members: Vec<usize>,
+    offsets: Vec<usize>,
+    occurrences: Vec<usize>,
+    bits: Vec<Vec<u64>>,
+}
+
+impl GroupingScorer {
+    fn new(schema: &DualSchema, matches: &MatchSet) -> Self {
+        let mut distinct: Vec<&Language> = Vec::new();
+        let language: Vec<usize> = schema
+            .attributes
+            .iter()
+            .map(
+                |attr| match distinct.iter().position(|l| **l == attr.language) {
+                    Some(class) => class,
+                    None => {
+                        distinct.push(&attr.language);
+                        distinct.len() - 1
+                    }
+                },
+            )
+            .collect();
+        let languages = distinct.len();
+        let mut members = Vec::new();
+        let mut offsets = vec![0];
+        for cluster in matches.clusters() {
+            for class in 0..languages {
+                members.extend(cluster.members.iter().filter(|&&m| language[m] == class));
+                offsets.push(members.len());
+            }
+        }
+        Self {
+            language,
+            languages,
+            clusters: matches.len(),
+            members,
+            offsets,
+            occurrences: schema.attributes.iter().map(|a| a.occurrences).collect(),
+            bits: pack_occurrence_patterns(schema),
+        }
+    }
+
+    /// Members of `cluster` in language class `class`, in cluster order.
+    fn part(&self, cluster: usize, class: usize) -> &[usize] {
+        let slot = cluster * self.languages + class;
+        &self.members[self.offsets[slot]..self.offsets[slot + 1]]
+    }
+
+    /// `DualSchema::grouping_score` on the packed patterns: the same
+    /// integer co-occurrence count, so the same `f64`.
+    fn grouping_score(&self, p: usize, q: usize) -> f64 {
+        let denom = self.occurrences[p].min(self.occurrences[q]);
+        if denom == 0 {
+            return 0.0;
+        }
+        packed_co_occurrences(&self.bits[p], &self.bits[q]) as f64 / denom as f64
+    }
+
+    /// The inductive grouping score `eg(a, b)` of Section 3.4: the average
     /// product of grouping scores between each attribute and the matched
     /// attributes it co-occurs with in its own language, restricted to
-    /// matched attribute pairs `(ca ~ c'a)` that belong to the same cluster.
-    fn inductive_grouping_score(&self, pair: &CandidatePair, matches: &MatchSet) -> f64 {
-        let a = pair.p;
-        let b = pair.q;
-        let lang_a = &self.schema.attribute(a).language;
-        let lang_b = &self.schema.attribute(b).language;
-
+    /// matched attribute pairs `(x ~ y)` that belong to the same cluster.
+    ///
+    /// Pairs are visited cluster by cluster, then `x`, then `y`, each in
+    /// member order, so the sum is accumulated in one fixed order.
+    fn inductive_grouping_score(&self, a: usize, b: usize) -> f64 {
+        let (class_a, class_b) = (self.language[a], self.language[b]);
         let mut total = 0.0;
         let mut count = 0usize;
-        for cluster in matches.clusters() {
-            // Matched attributes of a's language and of b's language within
-            // the same cluster (i.e. ca ~ c'a holds).
-            let ca: Vec<usize> = cluster
-                .members
-                .iter()
-                .copied()
-                .filter(|&m| &self.schema.attribute(m).language == lang_a && m != a)
-                .collect();
-            let cb: Vec<usize> = cluster
-                .members
-                .iter()
-                .copied()
-                .filter(|&m| &self.schema.attribute(m).language == lang_b && m != b)
-                .collect();
-            for &x in &ca {
-                for &y in &cb {
-                    let ga = self.schema.grouping_score(a, x);
-                    let gb = self.schema.grouping_score(b, y);
+        for cluster in 0..self.clusters {
+            let ys = self.part(cluster, class_b);
+            for &x in self.part(cluster, class_a) {
+                if x == a {
+                    continue;
+                }
+                let ga = self.grouping_score(a, x);
+                for &y in ys {
+                    if y == b {
+                        continue;
+                    }
+                    let gb = self.grouping_score(b, y);
                     if ga > 0.0 || gb > 0.0 {
                         total += ga * gb;
                         count += 1;
@@ -437,6 +539,44 @@ mod tests {
                 assert!(schema.index_of(&Language::En, &en).is_some());
             }
         }
+    }
+
+    #[test]
+    fn packed_grouping_score_is_the_boolean_definition() {
+        use crate::engine::MatchEngine;
+        use wiki_corpus::{Dataset, SyntheticConfig};
+
+        let engine = MatchEngine::builder(Dataset::pt_en(&SyntheticConfig::tiny())).build();
+        let schema = engine.schema("film").expect("film type exists");
+        let scorer = GroupingScorer::new(&schema, &MatchSet::new());
+        for p in 0..schema.len() {
+            for q in 0..schema.len() {
+                assert_eq!(
+                    scorer.grouping_score(p, q).to_bits(),
+                    schema.grouping_score(p, q).to_bits(),
+                    "g({p}, {q})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn zero_evidence_pairs_stay_queued_only_when_they_can_matter() {
+        let inert = |config: WikiMatchConfig| zero_evidence_is_inert(&config);
+        let base = WikiMatchConfig::default();
+        assert!(inert(base));
+        assert!(inert(base.without_revise_uncertain()));
+        assert!(inert(base.single_step()));
+        // Negative `t_sim` accepts zero evidence as certain.
+        assert!(!inert(WikiMatchConfig {
+            t_sim: -0.1,
+            ..base
+        }));
+        // Without inductive grouping, revision integrates every buffered pair.
+        assert!(!inert(base.without_inductive_grouping()));
+        assert!(inert(
+            base.without_inductive_grouping().without_revise_uncertain()
+        ));
     }
 
     #[test]

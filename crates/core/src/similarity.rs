@@ -732,10 +732,22 @@ impl SimilarityTable {
     /// Candidate pairs with an LSI score above `threshold`, sorted by
     /// decreasing LSI score (deterministic tie-break by indices).
     pub fn above_lsi(&self, threshold: f64) -> Vec<CandidatePair> {
+        self.above_lsi_where(threshold, |_| true)
+    }
+
+    /// [`above_lsi`](Self::above_lsi) restricted to the pairs `keep`
+    /// accepts. The filter runs before the sort, and the comparator is a
+    /// total order, so the result is exactly `above_lsi(threshold)` with
+    /// the rejected pairs removed.
+    pub(crate) fn above_lsi_where(
+        &self,
+        threshold: f64,
+        keep: impl Fn(&CandidatePair) -> bool,
+    ) -> Vec<CandidatePair> {
         let mut out: Vec<CandidatePair> = self
             .stored_pairs()
             .iter()
-            .filter(|pair| pair.lsi > threshold)
+            .filter(|pair| pair.lsi > threshold && keep(pair))
             .copied()
             .collect();
         // `total_cmp` rather than `partial_cmp`: the comparator is a total
@@ -753,14 +765,14 @@ impl SimilarityTable {
 
 /// Packs every attribute's boolean occurrence pattern into `u64` words so
 /// the pruned path can test co-occurrence with a handful of ANDs instead of
-/// an O(dual-count) boolean zip per pair.
+/// an O(dual-count) boolean zip per pair. Each row covers its own pattern's
+/// length, so zipping two rows sees exactly the bits the boolean zip sees.
 pub(crate) fn pack_occurrence_patterns(schema: &DualSchema) -> Vec<Vec<u64>> {
-    let words = schema.dual_count.div_ceil(64);
     schema
         .attributes
         .iter()
         .map(|attr| {
-            let mut packed = vec![0u64; words];
+            let mut packed = vec![0u64; attr.occurrence_pattern.len().div_ceil(64)];
             for (j, present) in attr.occurrence_pattern.iter().enumerate() {
                 if *present {
                     packed[j / 64] |= 1u64 << (j % 64);
@@ -775,6 +787,15 @@ pub(crate) fn pack_occurrence_patterns(schema: &DualSchema) -> Vec<Vec<u64>> {
 /// exactly `AttributeStats::co_occurrences(..) > 0`, word-parallel.
 pub(crate) fn packed_patterns_intersect(a: &[u64], b: &[u64]) -> bool {
     a.iter().zip(b).any(|(x, y)| x & y != 0)
+}
+
+/// Number of set bits two packed occurrence patterns share — exactly
+/// `AttributeStats::co_occurrences(..)`, word-parallel.
+pub(crate) fn packed_co_occurrences(a: &[u64], b: &[u64]) -> usize {
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| (x & y).count_ones() as usize)
+        .sum()
 }
 
 #[cfg(test)]
@@ -1122,8 +1143,9 @@ mod tests {
         let bits = pack_occurrence_patterns(&schema);
         for p in 0..schema.len() {
             for q in (p + 1)..schema.len() {
-                let expected = schema.attribute(p).co_occurrences(schema.attribute(q)) > 0;
-                assert_eq!(packed_patterns_intersect(&bits[p], &bits[q]), expected);
+                let expected = schema.attribute(p).co_occurrences(schema.attribute(q));
+                assert_eq!(packed_co_occurrences(&bits[p], &bits[q]), expected);
+                assert_eq!(packed_patterns_intersect(&bits[p], &bits[q]), expected > 0);
             }
         }
     }
