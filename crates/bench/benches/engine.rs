@@ -1,11 +1,8 @@
 //! Benchmarks for the `MatchEngine` session API: the amortization win of
 //! computing the title dictionary and per-type artifacts once per dataset.
 //!
-//! Three variants of "align every type of the Pt-En dataset":
+//! Two variants of "align every type of the Pt-En dataset":
 //!
-//! * `legacy_rebuild_per_type` — the pre-0.2 code path: the bilingual
-//!   title dictionary is rebuilt from the whole corpus for **every**
-//!   entity type before the schema and similarity table are computed.
 //! * `engine_cold_session` — build a [`MatchEngine`] (one dictionary) and
 //!   run `align_all` with empty caches.
 //! * `engine_warm_session` — `align_all` on a session whose per-type
@@ -15,30 +12,12 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use wiki_corpus::{Dataset, SyntheticConfig};
-use wikimatch::{AttributeAlignment, MatchEngine, WikiMatch, WikiMatchConfig};
+use wikimatch::MatchEngine;
 
-#[allow(deprecated)] // the deprecated shim IS the legacy per-type code path
 fn bench_engine_amortization(c: &mut Criterion) {
     // One Arc built up front: per-iteration Arc clones are free, so the
     // engine variants measure session work, not corpus copying.
     let dataset: Arc<Dataset> = Arc::new(Dataset::pt_en(&SyntheticConfig::tiny()));
-    let config = WikiMatchConfig::default();
-    let matcher = WikiMatch::new(config);
-
-    c.bench_function("align_all/legacy_rebuild_per_type", |b| {
-        b.iter(|| {
-            let dataset = std::hint::black_box(&dataset);
-            let mut alignments = 0usize;
-            for pairing in &dataset.types {
-                // prepare_type rebuilds the title dictionary per type —
-                // exactly the pre-0.2 align_all body.
-                let (schema, table) = matcher.prepare_type(dataset, pairing);
-                let matches = AttributeAlignment::new(&schema, &table, config).run();
-                alignments += matches.len();
-            }
-            std::hint::black_box(alignments)
-        })
-    });
 
     c.bench_function("align_all/engine_cold_session", |b| {
         b.iter(|| {

@@ -18,8 +18,8 @@
 //!   cost.
 //!
 //! The `large` tier is skipped by default to keep `cargo bench` turnaround
-//! reasonable; run the `interning` *binary* for the recorded cross-tier
-//! numbers (`BENCH_5.json`).
+//! reasonable. `BENCH_5.json` keeps the historical cross-tier record; the
+//! same build is now timed by perfbench's `similarity.compute_ms`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use wiki_bench::kernels::{cosine_sweep, SweepInput};

@@ -1,20 +1,17 @@
-//! Candidate-frontier experiment — exhaustive versus bound-filtered versus
-//! banded-LSH similarity builds across the synthetic scale tiers, the
-//! record behind `BENCH_7.json`.
+//! Candidate-frontier experiment — exhaustive versus bound-filtered
+//! similarity builds across the synthetic scale tiers, the record behind
+//! `BENCH_7.json`.
 //!
 //! For each tier the Pt-En film schema is built once, then the full
-//! `SimilarityTable` construction is timed in three compute modes:
+//! `SimilarityTable` construction is timed in two compute modes:
 //!
 //! * **pruned** — the exact baseline: every non-certified-zero channel
-//!   cosine plus the full triangular LSI pass (the quadratic frontier this
-//!   PR attacks);
+//!   cosine plus the full triangular LSI pass (the quadratic frontier the
+//!   filter attacks);
 //! * **filtered** — prefix-mass / shared-count upper bounds skip every pair
 //!   that provably cannot reach the score threshold, and LSI is computed
 //!   only for stored pairs. Surviving scores are bit-identical to the
-//!   exact table (asserted in-run against the pruned oracle);
-//! * **lsh** — banded-SimHash candidate generation: explicitly
-//!   approximate, so the run also reports its recall of at-threshold
-//!   pairs against the exact oracle.
+//!   exact table (asserted in-run against the pruned oracle).
 //!
 //! Each mode's [`PairCounts`] (channel cosines scored versus pruned) is
 //! recorded per tier — the same gauges `matchd` exposes on `/stats`.
@@ -32,15 +29,13 @@
 //! the 1.2 s the exact `large` build used to cost — are enforced when
 //! those tiers are measured.
 
-use std::time::{Duration, Instant};
-
 use wiki_bench::report::f2;
-use wiki_bench::{format_table, tier_config, tier_names, write_report};
+use wiki_bench::{flag_value, format_table, tier_config, tier_names, time_best, write_report};
 use wiki_corpus::synthetic::SyntheticGenerator;
 use wiki_corpus::Language;
 use wiki_linalg::LsiConfig;
 use wiki_translate::TitleDictionary;
-use wikimatch::{candidate_recall, ComputeMode, DualSchema, PairCounts, SimilarityTable};
+use wikimatch::{ComputeMode, DualSchema, PairCounts, SimilarityTable};
 
 /// One compute mode's measurements at one tier.
 #[derive(serde::Serialize)]
@@ -61,9 +56,7 @@ struct TierResult {
     threshold: f64,
     pruned: ModeResult,
     filtered: ModeResult,
-    lsh: ModeResult,
     filtered_speedup: f64,
-    lsh_recall: f64,
 }
 
 /// The whole run, as checked in at the repo root.
@@ -74,23 +67,6 @@ struct Report {
     note: String,
     runs: usize,
     tiers: Vec<TierResult>,
-}
-
-fn ms(d: Duration) -> f64 {
-    d.as_secs_f64() * 1e3
-}
-
-/// Best-of-N wall time of `f` in milliseconds (best-of, not mean: the
-/// quantity of interest is the cost of the work, not of the noise).
-fn time_best<T>(runs: usize, mut f: impl FnMut() -> T) -> (f64, T) {
-    let mut best = f64::INFINITY;
-    let mut last = None;
-    for _ in 0..runs {
-        let t = Instant::now();
-        last = Some(f());
-        best = best.min(ms(t.elapsed()));
-    }
-    (best, last.expect("runs >= 1"))
 }
 
 fn mode_result(
@@ -121,10 +97,6 @@ fn measure_tier(tier: &str, runs: usize) -> TierResult {
 
     let threshold = ComputeMode::DEFAULT_FILTER_THRESHOLD;
     let filtered_mode = ComputeMode::filtered(threshold);
-    let lsh_mode = ComputeMode::lsh(
-        ComputeMode::DEFAULT_LSH_BANDS,
-        ComputeMode::DEFAULT_LSH_ROWS,
-    );
     let lsi = LsiConfig::default();
 
     let (pruned_ms, (oracle, oracle_counts)) = time_best(runs, || {
@@ -132,9 +104,6 @@ fn measure_tier(tier: &str, runs: usize) -> TierResult {
     });
     let (filtered_ms, (filtered, filtered_counts)) = time_best(runs, || {
         SimilarityTable::compute_counted(&schema, lsi, filtered_mode)
-    });
-    let (lsh_ms, (lsh, lsh_counts)) = time_best(runs, || {
-        SimilarityTable::compute_counted(&schema, lsi, lsh_mode)
     });
 
     // The filtered table must be a *correct* shortcut: every stored pair
@@ -147,28 +116,15 @@ fn measure_tier(tier: &str, runs: usize) -> TierResult {
         assert_eq!(pair.lsim.to_bits(), exact.lsim.to_bits(), "lsim diverged");
         assert_eq!(pair.lsi.to_bits(), exact.lsi.to_bits(), "lsi diverged");
     }
-    let lsh_recall = candidate_recall(&oracle, &lsh, threshold);
 
     TierResult {
         tier: tier.to_string(),
         attribute_groups: n,
         threshold,
         filtered_speedup: pruned_ms / filtered_ms.max(1e-9),
-        lsh_recall,
         pruned: mode_result(ComputeMode::Pruned, pruned_ms, oracle_counts, &oracle),
         filtered: mode_result(filtered_mode, filtered_ms, filtered_counts, &filtered),
-        lsh: mode_result(lsh_mode, lsh_ms, lsh_counts, &lsh),
     }
-}
-
-/// The next argument as a flag's value; a trailing flag without one is a
-/// usage error, not an index-out-of-bounds panic.
-fn flag_value(args: &[String], i: &mut usize, flag: &str) -> String {
-    *i += 1;
-    args.get(*i).cloned().unwrap_or_else(|| {
-        eprintln!("{flag} needs a value; see the module docs");
-        std::process::exit(2);
-    })
 }
 
 fn main() {
@@ -222,10 +178,8 @@ fn main() {
         "attrs",
         "pruned ms",
         "filtered ms",
-        "lsh ms",
         "speedup",
         "pruned %",
-        "lsh recall",
     ]
     .iter()
     .map(ToString::to_string)
@@ -239,17 +193,15 @@ fn main() {
                 r.attribute_groups.to_string(),
                 f2(r.pruned.build_ms),
                 f2(r.filtered.build_ms),
-                f2(r.lsh.build_ms),
                 format!("{}x", f2(r.filtered_speedup)),
                 format!(
                     "{:.1}",
                     100.0 * r.filtered.pairs_pruned as f64 / total as f64
                 ),
-                f2(r.lsh_recall),
             ]
         })
         .collect();
-    println!("=== Candidate frontier — exact vs filtered vs LSH builds (Pt-En film) ===");
+    println!("=== Candidate frontier — exact vs filtered builds (Pt-En film) ===");
     println!("{}", format_table(&header, &rows));
 
     let report = Report {
@@ -258,8 +210,7 @@ fn main() {
         note: "single-core (taskset -c 0) full SimilarityTable builds of the Pt-En film \
                schema; filtered = bound-filtered sparse table at the default threshold \
                (surviving scores asserted bit-identical to the exact oracle in-run); \
-               lsh = banded-SimHash candidates with recall of at-threshold pairs vs the \
-               oracle; pairs_scored/pairs_pruned are the /stats gauges"
+               pairs_scored/pairs_pruned are the /stats gauges"
             .to_string(),
         runs,
         tiers: results,

@@ -32,7 +32,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use wiki_bench::{format_table, tier_config, tier_names, write_report};
+use wiki_bench::{flag_value, format_table, ms, tier_config, tier_names, write_report};
 use wiki_corpus::{Dataset, Language, SyntheticConfig};
 use wiki_serve::registry::{CorpusSpec, Registry};
 use wikimatch::snapshot::EngineSnapshot;
@@ -88,18 +88,6 @@ struct Report {
 fn median(mut samples: Vec<Duration>) -> Duration {
     samples.sort();
     samples[samples.len() / 2]
-}
-
-fn ms(d: Duration) -> f64 {
-    d.as_secs_f64() * 1e3
-}
-
-fn flag_value(args: &[String], i: &mut usize, flag: &str) -> String {
-    *i += 1;
-    args.get(*i).cloned().unwrap_or_else(|| {
-        eprintln!("{flag} requires a value");
-        std::process::exit(2);
-    })
 }
 
 /// Asserts every similarity channel of every type is bit-identical between

@@ -6,9 +6,10 @@ use wikimatch::ComputeMode;
 /// Builds the experiment context from the command line:
 ///
 /// * `--quick` switches to the reduced datasets (useful for smoke runs);
-/// * `--mode {pruned,dense}` selects the similarity-table compute mode
-///   instead of hard-coding the default (both modes are bit-identical;
-///   `dense` is the single-threaded reference pass).
+/// * `--mode pruned|dense|filtered[:T]` selects the similarity-table
+///   compute mode instead of hard-coding the default (`pruned` and `dense`
+///   are bit-identical, `dense` being the single-threaded reference pass;
+///   `filtered` stores only the pairs scoring at least `T`).
 pub fn context_from_args() -> ExperimentContext {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");

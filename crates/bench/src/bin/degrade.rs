@@ -45,7 +45,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use wiki_bench::report::f2;
-use wiki_bench::{format_table, write_report};
+use wiki_bench::{flag_value, format_table, write_report};
 use wiki_corpus::Language;
 use wiki_serve::client::MatchClient;
 use wiki_serve::protocol::{AlignRequest, CorpusRequest};
@@ -248,16 +248,6 @@ fn storm_run(config: ServerConfig, served: usize) -> (Vec<u64>, u64) {
     wiki_fault::disarm_all();
     server.shutdown();
     (latencies, rejections)
-}
-
-/// The next argument as a flag's value; a trailing flag without one is a
-/// usage error, not an index-out-of-bounds panic.
-fn flag_value(args: &[String], i: &mut usize, flag: &str) -> String {
-    *i += 1;
-    args.get(*i).cloned().unwrap_or_else(|| {
-        eprintln!("{flag} needs a value; see the module docs");
-        std::process::exit(2);
-    })
 }
 
 fn main() {

@@ -35,7 +35,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use wiki_bench::report::f2;
-use wiki_bench::{format_table, write_report};
+use wiki_bench::{flag_value, format_table, write_report};
 use wiki_corpus::Language;
 use wiki_obs::expo::{self, HistogramScrape};
 use wiki_serve::client::MatchClient;
@@ -115,16 +115,6 @@ fn scrape_align(client: &mut MatchClient) -> HistogramScrape {
     let samples = expo::parse_text(&response.body).expect("valid exposition");
     HistogramScrape::extract(&samples, "wm_request_seconds", Some(("endpoint", "align")))
         .unwrap_or_default()
-}
-
-/// The next argument as a flag's value; a trailing flag without one is a
-/// usage error, not an index-out-of-bounds panic.
-fn flag_value(args: &[String], i: &mut usize, flag: &str) -> String {
-    *i += 1;
-    args.get(*i).cloned().unwrap_or_else(|| {
-        eprintln!("{flag} needs a value; see the module docs");
-        std::process::exit(2);
-    })
 }
 
 fn main() {

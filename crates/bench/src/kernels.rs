@@ -1,11 +1,9 @@
-//! Shared measurement kernels for the interning benchmarks.
+//! Measurement kernels for the interning benchmark.
 //!
-//! The criterion bench (`benches/interning.rs`) and the recording binary
-//! (`src/bin/interning.rs`, which writes the repo-root `BENCH_5.json`) time
-//! the *same* candidate-pair cosine sweep over two representations of the
-//! same vectors. The sweep and the representation-swapping helper live here
-//! so the two harnesses cannot drift apart and silently measure different
-//! kernels.
+//! The criterion bench (`benches/interning.rs`) times the *same*
+//! candidate-pair cosine sweep over two representations of the same
+//! vectors. The sweep and the representation-swapping helper live here, in
+//! the library, so their bit-identity is unit-tested.
 
 use wiki_corpus::Language;
 use wiki_text::TermVector;

@@ -138,8 +138,8 @@ pub enum SnapshotError {
         /// Checksum recorded in the header.
         expected: u64,
     },
-    /// The engine runs a sparse / approximate compute mode
-    /// (`filtered` / `lsh`) whose artifacts do not satisfy the snapshot
+    /// The engine runs the sparse compute mode (`filtered`) whose
+    /// artifacts do not satisfy the snapshot
     /// contract — a restored snapshot must be bit-identical to a cold
     /// rebuild, and a sparse table's membership is not. The payload names
     /// the offending mode.
@@ -870,7 +870,7 @@ impl EngineSnapshot {
     /// a fully warmed session.
     ///
     /// Fails with [`SnapshotError::InexactMode`] when the engine runs a
-    /// sparse compute mode (`filtered` / `lsh`): those tables drop pairs by
+    /// sparse compute mode (`filtered`): those tables drop pairs by
     /// design, so a snapshot of them could never honor the
     /// bit-identical-to-a-cold-rebuild restore contract.
     pub fn capture(engine: &MatchEngine) -> Result<Self, SnapshotError> {
@@ -1672,10 +1672,7 @@ mod tests {
         let dataset = Dataset::pt_en(&SyntheticConfig::tiny());
         for mode in [
             ComputeMode::filtered(0.5),
-            ComputeMode::lsh(
-                ComputeMode::DEFAULT_LSH_BANDS,
-                ComputeMode::DEFAULT_LSH_ROWS,
-            ),
+            ComputeMode::filtered(ComputeMode::DEFAULT_FILTER_THRESHOLD),
         ] {
             let engine = MatchEngine::builder(dataset.clone())
                 .compute_mode(mode)

@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! matchd [--addr 127.0.0.1:8743] [--workers N] [--queue N] [--capacity N]
-//!        [--mode pruned|dense|filtered[:T]|lsh[:BxR]]
+//!        [--mode pruned|dense|filtered[:T]]
 //!        [--tiers tiny,small,medium,large,xlarge]
 //!        [--warm corpus[,corpus...]] [--snapshot-dir DIR] [--persist]
 //!        [--max-resident-mb N]
@@ -39,9 +39,6 @@ OPTIONS:
                          filtered[:T]             sparse table at score
                                                   threshold T (default 0.6);
                                                   exact scores, no snapshots
-                         lsh[:BxR]                approximate banded-SimHash
-                                                  candidates, B bands x R rows
-                                                  (default 16x4); no snapshots
     --tiers LIST       comma-separated scale tiers to register
                        (default tiny,small,medium,large; xlarge available)
     --warm LIST        comma-separated corpus names to warm at startup

@@ -198,7 +198,7 @@ fn spill_to(path: &Path, entry: &CorpusEntry, engine: &MatchEngine, format: Snap
         if attempt > 1 {
             std::thread::sleep(backoff.next_delay());
         }
-        // Sparse-mode engines (`--mode filtered` / `--mode lsh`) refuse
+        // Sparse-mode engines (`--mode filtered`) refuse
         // capture: their registries simply run without a disk tier.
         let result = wiki_fault::check_io("registry.spill")
             .map_err(SnapshotError::Io)

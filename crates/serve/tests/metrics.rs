@@ -10,6 +10,7 @@
 //! values would race.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use wiki_corpus::{Language, SyntheticConfig};
 use wiki_obs::expo::{self, HistogramScrape, Sample};
@@ -302,11 +303,17 @@ fn access_log_lines_carry_endpoint_corpus_and_segments() {
         .expect("align request");
     assert!(response.is_success(), "{}", response.body);
 
-    let lines = log.captured();
-    let line = lines
-        .iter()
-        .find(|l| l.contains("\"endpoint\":\"align\""))
-        .unwrap_or_else(|| panic!("no align line in {lines:?}"));
+    // The worker writes the access-log line after the response bytes, so
+    // the client can read the response before the line exists: wait for it.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let line = loop {
+        let lines = log.captured();
+        if let Some(line) = lines.iter().find(|l| l.contains("\"endpoint\":\"align\"")) {
+            break line.clone();
+        }
+        assert!(Instant::now() < deadline, "no align line in {lines:?}");
+        std::thread::sleep(Duration::from_millis(5));
+    };
     assert!(line.contains("\"method\":\"POST\""), "{line}");
     assert!(line.contains("\"path\":\"/align\""), "{line}");
     assert!(line.contains("\"corpus\":\"pt-tiny-logged\""), "{line}");
