@@ -9,7 +9,7 @@
 //! One-to-many gold alignments arise naturally from intra-language synonyms
 //! (e.g. *died* ↔ *falecimento* and *died* ↔ *morte*).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use serde::{Deserialize, Serialize};
 
@@ -32,32 +32,59 @@ pub struct AttributeSense {
 pub struct TypeGroundTruth {
     /// Entity-type identifier (language independent).
     pub type_id: String,
-    /// Observed attribute senses.
+    /// Observed attribute senses, in first-seen order.
     pub senses: Vec<AttributeSense>,
+    /// Position in `senses` of each `(language, normalised name)`. Derived
+    /// from `senses`, so it is not serialised; [`Self::add_sense`] rebuilds
+    /// it when it has fallen out of step (after deserialisation, or when
+    /// `senses` was extended directly).
+    #[serde(skip)]
+    index: HashMap<(Language, String), usize>,
 }
 
 impl TypeGroundTruth {
+    /// An empty ground truth for the type `type_id`.
+    pub fn new(type_id: &str) -> Self {
+        Self {
+            type_id: type_id.to_string(),
+            ..Self::default()
+        }
+    }
+
     /// Registers that `name` (in `language`) was used for `concept`.
     ///
     /// Names are stored in normalised form (see
-    /// [`wiki_text::normalize_label`]).
+    /// [`wiki_text::normalize_label`]). A name seen for the first time
+    /// appends a sense; a name that normalises to an already-seen one adds
+    /// `concept` to that sense, so repeated registrations are no-ops.
+    /// Expected O(1): the sense is found through an index, not a scan.
     pub fn add_sense(&mut self, language: Language, name: &str, concept: &str) {
-        let name = wiki_text::normalize_label(name);
-        if let Some(sense) = self
-            .senses
-            .iter_mut()
-            .find(|s| s.language == language && s.name == name)
-        {
-            sense.concepts.insert(concept.to_string());
-            return;
+        if self.index.len() != self.senses.len() {
+            self.index.clear();
+            for (i, sense) in self.senses.iter().enumerate() {
+                self.index
+                    .entry((sense.language.clone(), sense.name.clone()))
+                    .or_insert(i);
+            }
         }
-        let mut concepts = BTreeSet::new();
-        concepts.insert(concept.to_string());
-        self.senses.push(AttributeSense {
-            language,
-            name,
-            concepts,
-        });
+        let key = (language, wiki_text::normalize_label(name));
+        let slot = match self.index.get(&key) {
+            Some(&slot) => slot,
+            None => {
+                let slot = self.senses.len();
+                self.senses.push(AttributeSense {
+                    language: key.0.clone(),
+                    name: key.1.clone(),
+                    concepts: BTreeSet::new(),
+                });
+                self.index.insert(key, slot);
+                slot
+            }
+        };
+        let concepts = &mut self.senses[slot].concepts;
+        if !concepts.contains(concept) {
+            concepts.insert(concept.to_string());
+        }
     }
 
     /// The concepts a surface name can denote (empty set when unknown).
@@ -146,11 +173,14 @@ impl GroundTruth {
     pub fn add_sense(&mut self, type_id: &str, language: Language, name: &str, concept: &str) {
         self.types
             .entry(type_id.to_string())
-            .or_insert_with(|| TypeGroundTruth {
-                type_id: type_id.to_string(),
-                ..Default::default()
-            })
+            .or_insert_with(|| TypeGroundTruth::new(type_id))
             .add_sense(language, name, concept);
+    }
+
+    /// Adds the gold alignments of one type, replacing any earlier ones of
+    /// the same `type_id`.
+    pub fn insert_type(&mut self, truth: TypeGroundTruth) {
+        self.types.insert(truth.type_id.clone(), truth);
     }
 
     /// The per-type gold alignments, if the type is known.
@@ -239,5 +269,85 @@ mod tests {
             .collect();
         assert_eq!(born.len(), 1);
         assert_eq!(born[0].concepts.len(), 2);
+    }
+
+    fn sense_names(truth: &TypeGroundTruth) -> Vec<(Language, &str)> {
+        truth
+            .senses
+            .iter()
+            .map(|s| (s.language.clone(), s.name.as_str()))
+            .collect()
+    }
+
+    #[test]
+    fn sense_index_keeps_first_seen_order() {
+        let mut truth = TypeGroundTruth::new("film");
+        truth.add_sense(Language::Pt, "direção", "director");
+        truth.add_sense(Language::En, "starring", "cast");
+        truth.add_sense(Language::Pt, "elenco", "cast");
+        truth.add_sense(Language::En, "directed by", "director");
+        // A later concept of an early name does not move the sense.
+        truth.add_sense(Language::Pt, "direção", "producer");
+        assert_eq!(
+            sense_names(&truth),
+            vec![
+                (Language::Pt, "direcao"),
+                (Language::En, "starring"),
+                (Language::Pt, "elenco"),
+                (Language::En, "directed by"),
+            ]
+        );
+        // The same name in two languages is two senses.
+        truth.add_sense(Language::En, "elenco", "cast");
+        assert_eq!(truth.senses.len(), 5);
+        assert_eq!(truth.senses[4].language, Language::En);
+    }
+
+    #[test]
+    fn sense_index_merges_surfaces_with_one_normalised_name() {
+        let mut truth = TypeGroundTruth::new("film");
+        truth.add_sense(Language::Pt, "Direção", "director");
+        truth.add_sense(Language::Pt, "direcao", "producer");
+        truth.add_sense(Language::Pt, "DIREÇÃO", "director");
+        assert_eq!(sense_names(&truth), vec![(Language::Pt, "direcao")]);
+        let concepts: Vec<&str> = truth.senses[0]
+            .concepts
+            .iter()
+            .map(String::as_str)
+            .collect();
+        assert_eq!(concepts, vec!["director", "producer"]);
+    }
+
+    #[test]
+    fn sense_index_repeated_adds_are_no_ops() {
+        let mut truth = TypeGroundTruth::new("film");
+        truth.add_sense(Language::En, "budget", "budget");
+        truth.add_sense(Language::En, "gross", "gross");
+        let before = serde_json::to_string(&truth).unwrap();
+        for _ in 0..3 {
+            truth.add_sense(Language::En, "budget", "budget");
+            truth.add_sense(Language::En, "Gross", "gross");
+        }
+        assert_eq!(serde_json::to_string(&truth).unwrap(), before);
+    }
+
+    #[test]
+    fn sense_index_is_rebuilt_after_deserialisation() {
+        let mut truth = TypeGroundTruth::new("film");
+        truth.add_sense(Language::En, "budget", "budget");
+        truth.add_sense(Language::Pt, "orçamento", "budget");
+        let json = serde_json::to_string(&truth).unwrap();
+        let mut restored: TypeGroundTruth = serde_json::from_str(&json).unwrap();
+        restored.add_sense(Language::Pt, "orcamento", "cost");
+        restored.add_sense(Language::En, "gross", "gross");
+        assert_eq!(
+            sense_names(&restored),
+            vec![
+                (Language::En, "budget"),
+                (Language::Pt, "orcamento"),
+                (Language::En, "gross"),
+            ]
+        );
+        assert_eq!(restored.senses[1].concepts.len(), 2);
     }
 }

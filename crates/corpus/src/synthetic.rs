@@ -20,11 +20,12 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
+use std::fmt::Write;
 
 use crate::catalog::{Catalog, ConceptSpec, EntityTypeSpec, ValueKind};
 use crate::entities::{EntityKind, EntityPool, EntityRef};
-use crate::ground_truth::GroundTruth;
+use crate::ground_truth::{GroundTruth, TypeGroundTruth};
 use crate::lang::Language;
 use crate::model::{Article, AttributeValue, Infobox, Link};
 use crate::store::Corpus;
@@ -251,14 +252,30 @@ impl std::str::FromStr for ScaleTier {
 }
 
 /// A language-independent fact an infobox may record.
+///
+/// Facts are drawn for every concept of every entity but rendered only for
+/// the few an infobox records, so they hold the drawn values, not text.
 #[derive(Debug, Clone)]
 enum Fact {
-    Date { year: i32, month: u32, day: u32 },
+    Date {
+        year: i32,
+        month: u32,
+        day: u32,
+    },
     Year(i32),
     Entities(Vec<EntityRef>),
-    Number { value: f64, unit: &'static str },
-    Money { millions: f64 },
-    Alias(Vec<String>),
+    Number {
+        value: f64,
+        unit: &'static str,
+    },
+    Money {
+        millions: f64,
+    },
+    /// One or two aliases, each an `ALIAS_WORDS` index and a number.
+    Alias {
+        count: usize,
+        parts: [(usize, i32); 2],
+    },
     FreeText,
 }
 
@@ -300,7 +317,7 @@ impl SyntheticGenerator {
         let pool = EntityPool::standard(self.config.person_pool, &mut rng);
         let mut corpus = Corpus::new();
         let mut ground_truth = GroundTruth::new();
-        let mut created_entities: HashSet<EntityRef> = HashSet::new();
+        let mut created_entities = vec![false; pool.len()];
 
         let pairs = self.config.pairs_for(&other);
         for ty in self.catalog.types_for(&other) {
@@ -319,6 +336,14 @@ impl SyntheticGenerator {
     }
 
     /// Generates the dual-language entities of one type.
+    ///
+    /// Runs in time linear in the output: per-concept state lives in
+    /// vectors indexed by concept position, and each (concept, edition,
+    /// surface) registers its ground-truth sense once. The RNG draws, and
+    /// their order, are part of every corpus's identity (snapshots are
+    /// validated against the regenerated corpus's fingerprint), so every
+    /// concept draws its fact and notability for every entity whether or
+    /// not an infobox records it.
     #[allow(clippy::too_many_arguments)]
     fn generate_type(
         &self,
@@ -329,7 +354,7 @@ impl SyntheticGenerator {
         rng: &mut StdRng,
         corpus: &mut Corpus,
         ground_truth: &mut GroundTruth,
-        created_entities: &mut HashSet<EntityRef>,
+        created_entities: &mut [bool],
     ) {
         let target_overlap = ty.target_overlap(other).unwrap_or(0.5);
         // Schema drift is template-level, not per-infobox: a concept either
@@ -344,13 +369,22 @@ impl SyntheticGenerator {
             MARGINAL_COVERAGE,
             target_overlap,
         );
-        let coverage_for = |concept: &ConceptSpec| -> f64 {
-            if template.contains(&concept.id) {
-                self.config.english_coverage
-            } else {
-                MARGINAL_COVERAGE
-            }
-        };
+        let english_coverage = self.config.english_coverage.clamp(0.0, 1.0);
+        let other_coverage: Vec<f64> = ty
+            .concepts
+            .iter()
+            .map(|concept| {
+                if template.contains(concept.id) {
+                    english_coverage
+                } else {
+                    MARGINAL_COVERAGE
+                }
+            })
+            .collect();
+        let mut truth = TypeGroundTruth::new(ty.id);
+        let mut senses = SenseRegistry::new(&ty.concepts, other);
+        let mut facts: Vec<Fact> = Vec::with_capacity(ty.concepts.len());
+        let mut notable: Vec<bool> = Vec::with_capacity(ty.concepts.len());
 
         for i in 0..pairs {
             // 1. Draw the language-independent facts for this entity, and
@@ -360,16 +394,18 @@ impl SyntheticGenerator {
             //    likely to mention it. This is what gives cross-language
             //    synonyms correlated occurrence patterns over the dual
             //    infoboxes — the signal LSI exploits.
-            let facts: HashMap<&str, Fact> = ty
-                .concepts
-                .iter()
-                .map(|concept| (concept.id, self.draw_fact(concept, pool, rng)))
-                .collect();
-            let notable: HashMap<&str, bool> = ty
-                .concepts
-                .iter()
-                .map(|concept| (concept.id, rng.gen_bool(concept.commonness)))
-                .collect();
+            facts.clear();
+            facts.extend(
+                ty.concepts
+                    .iter()
+                    .map(|concept| self.draw_fact(concept, pool, rng)),
+            );
+            notable.clear();
+            notable.extend(
+                ty.concepts
+                    .iter()
+                    .map(|concept| rng.gen_bool(concept.commonness)),
+            );
 
             // 2. Titles per language.
             let title_en = make_title(ty, &Language::En, i, pool, rng);
@@ -382,26 +418,27 @@ impl SyntheticGenerator {
                 ty.label(other).unwrap_or(ty.label_en)
             ));
 
-            for concept in &ty.concepts {
-                let fact = &facts[concept.id];
-                for (language, coverage, infobox) in [
-                    (&Language::En, self.config.english_coverage, &mut infobox_en),
-                    (other, coverage_for(concept), &mut infobox_other),
+            for (c, concept) in ty.concepts.iter().enumerate() {
+                if !notable[c] {
+                    continue;
+                }
+                for (edition, language, coverage, infobox) in [
+                    (0, &Language::En, english_coverage, &mut infobox_en),
+                    (1, other, other_coverage[c], &mut infobox_other),
                 ] {
                     let names = concept.names(language);
-                    if names.is_empty() || !notable[concept.id] {
+                    if names.is_empty() {
                         continue;
                     }
                     // Given that the concept is notable for this entity,
                     // each edition records it with its coverage probability.
-                    if !rng.gen_bool(coverage.clamp(0.0, 1.0)) {
+                    if !rng.gen_bool(coverage) {
                         continue;
                     }
-                    let surface = pick_surface(names, rng);
+                    let k = pick_surface(names, rng);
                     let attribute = self.render_attribute(
-                        surface,
-                        concept,
-                        fact,
+                        names[k],
+                        &facts[c],
                         language,
                         other,
                         pool,
@@ -410,25 +447,21 @@ impl SyntheticGenerator {
                         created_entities,
                     );
                     infobox.push(attribute);
-                    ground_truth.add_sense(
-                        ty.id,
-                        language.clone(),
-                        &normalize_label(surface),
-                        concept.id,
-                    );
+                    senses.register(&mut truth, c, edition, k, language, concept);
                 }
             }
 
             // Guarantee a minimal schema so no infobox is empty.
-            for (language, infobox) in [
-                (&Language::En, &mut infobox_en),
-                (other, &mut infobox_other),
+            for (edition, language, infobox) in [
+                (0, &Language::En, &mut infobox_en),
+                (1, other, &mut infobox_other),
             ] {
                 if infobox.len() < 2 {
-                    for concept in ty
+                    for (c, concept) in ty
                         .concepts
                         .iter()
-                        .filter(|c| !c.names(language).is_empty())
+                        .enumerate()
+                        .filter(|(_, c)| !c.names(language).is_empty())
                         .take(3)
                     {
                         let surface = concept.names(language)[0];
@@ -437,8 +470,7 @@ impl SyntheticGenerator {
                         }
                         let attribute = self.render_attribute(
                             surface,
-                            concept,
-                            &facts[concept.id],
+                            &facts[c],
                             language,
                             other,
                             pool,
@@ -447,12 +479,7 @@ impl SyntheticGenerator {
                             created_entities,
                         );
                         infobox.push(attribute);
-                        ground_truth.add_sense(
-                            ty.id,
-                            language.clone(),
-                            &normalize_label(surface),
-                            concept.id,
-                        );
+                        senses.register(&mut truth, c, edition, 0, language, concept);
                     }
                 }
             }
@@ -469,9 +496,12 @@ impl SyntheticGenerator {
             article_en.add_cross_link(other.clone(), title_other.clone());
             let mut article_other =
                 Article::new(&title_other, other.clone(), label_other, infobox_other);
-            article_other.add_cross_link(Language::En, title_en.clone());
+            article_other.add_cross_link(Language::En, title_en);
             corpus.insert(article_en);
             corpus.insert(article_other);
+        }
+        if !truth.senses.is_empty() {
+            ground_truth.insert_type(truth);
         }
     }
 
@@ -500,17 +530,13 @@ impl SyntheticGenerator {
                 millions: rng.gen_range(lo_millions..=hi_millions).round(),
             },
             ValueKind::Alias => {
-                let count = rng.gen_range(1..=2);
-                let aliases = (0..count)
-                    .map(|_| {
-                        format!(
-                            "{} {}",
-                            ALIAS_WORDS[rng.gen_range(0..ALIAS_WORDS.len())],
-                            rng.gen_range(1..=999)
-                        )
-                    })
-                    .collect();
-                Fact::Alias(aliases)
+                let count: usize = rng.gen_range(1..=2);
+                let mut parts = [(0, 0); 2];
+                for part in &mut parts[..count] {
+                    let word = rng.gen_range(0..ALIAS_WORDS.len());
+                    *part = (word, rng.gen_range(1..=999));
+                }
+                Fact::Alias { count, parts }
             }
             ValueKind::FreeText => Fact::FreeText,
         }
@@ -522,39 +548,41 @@ impl SyntheticGenerator {
     fn render_attribute(
         &self,
         surface: &str,
-        concept: &ConceptSpec,
         fact: &Fact,
         language: &Language,
         other: &Language,
         pool: &EntityPool,
         rng: &mut StdRng,
         corpus: &mut Corpus,
-        created_entities: &mut HashSet<EntityRef>,
+        created_entities: &mut [bool],
     ) -> AttributeValue {
         let noisy = language != &Language::En && rng.gen_bool(self.config.value_noise);
-        match fact {
+        let value = match fact {
             Fact::Date { year, month, day } => {
                 let day = if noisy {
                     (*day + rng.gen_range(1u32..=3)).min(28)
                 } else {
                     *day
                 };
-                AttributeValue::text(surface, format_date(language, *year, *month, day))
+                format_date(language, *year, *month, day)
             }
             Fact::Year(year) => {
                 let year = if noisy { year + 1 } else { *year };
-                AttributeValue::text(surface, year.to_string())
+                year.to_string()
             }
             Fact::Entities(refs) => {
-                let mut parts = Vec::new();
-                let mut links = Vec::new();
-                for &r in refs {
+                let mut value = String::new();
+                let mut links = Vec::with_capacity(refs.len());
+                for (n, &r) in refs.iter().enumerate() {
                     ensure_entity_articles(r, pool, corpus, other, created_entities);
-                    let title = pool.get(r).title(language).to_string();
-                    links.push(Link::plain(title.clone()));
-                    parts.push(title);
+                    let title = pool.get(r).title(language);
+                    if n > 0 {
+                        value.push_str(", ");
+                    }
+                    value.push_str(title);
+                    links.push(Link::plain(title));
                 }
-                AttributeValue::linked(surface, parts.join(", "), links)
+                return AttributeValue::linked(surface, value, links);
             }
             Fact::Number { value, unit } => {
                 let value = if noisy {
@@ -562,7 +590,7 @@ impl SyntheticGenerator {
                 } else {
                     *value
                 };
-                AttributeValue::text(surface, format_number(language, value, unit))
+                format_number(language, value, unit)
             }
             Fact::Money { millions } => {
                 let millions = if noisy {
@@ -570,19 +598,29 @@ impl SyntheticGenerator {
                 } else {
                     *millions
                 };
-                AttributeValue::text(surface, format_money(language, millions))
+                format_money(language, millions)
             }
-            Fact::Alias(aliases) => AttributeValue::text(surface, aliases.join(", ")),
+            Fact::Alias { count, parts } => {
+                let mut text = String::with_capacity(VALUE_CAPACITY);
+                for (n, &(word, number)) in parts[..*count].iter().enumerate() {
+                    if n > 0 {
+                        text.push_str(", ");
+                    }
+                    let _ = write!(text, "{} {number}", ALIAS_WORDS[word]);
+                }
+                text
+            }
             Fact::FreeText => {
                 let words = free_text_words(language);
-                let count = rng.gen_range(1..=3);
-                let text: Vec<&str> = (0..count)
-                    .map(|_| words[rng.gen_range(0..words.len())])
-                    .collect();
-                let _ = concept; // concept only used for documentation purposes here
-                AttributeValue::text(surface, text.join(", "))
+                let count: usize = rng.gen_range(1..=3);
+                let mut picked = [""; 3];
+                for word in &mut picked[..count] {
+                    *word = words[rng.gen_range(0..words.len())];
+                }
+                picked[..count].join(", ")
             }
-        }
+        };
+        AttributeValue::text(surface, value)
     }
 }
 
@@ -594,9 +632,9 @@ fn ensure_entity_articles(
     pool: &EntityPool,
     corpus: &mut Corpus,
     other: &Language,
-    created: &mut HashSet<EntityRef>,
+    created: &mut [bool],
 ) {
-    if !created.insert(r) {
+    if std::mem::replace(&mut created[r], true) {
         return;
     }
     let entity = pool.get(r);
@@ -618,13 +656,59 @@ fn ensure_entity_articles(
     corpus.insert(article_other);
 }
 
-/// Picks a surface name: the primary one with probability 0.7, otherwise one
-/// of the synonyms uniformly.
-fn pick_surface<'a>(names: &'a [&'a str], rng: &mut StdRng) -> &'a str {
+/// Picks the index of a surface name: the primary one with probability
+/// 0.7, otherwise one of the synonyms uniformly.
+fn pick_surface(names: &[&str], rng: &mut StdRng) -> usize {
     if names.len() == 1 || rng.gen_bool(0.7) {
-        names[0]
+        0
     } else {
-        names[rng.gen_range(1..names.len())]
+        rng.gen_range(1..names.len())
+    }
+}
+
+/// Which `(concept, edition, surface)` triples of one entity type have
+/// registered their ground-truth sense. Registering a triple again is a
+/// no-op, so each one normalises its label and touches the sense index
+/// once per type instead of once per rendered attribute.
+struct SenseRegistry {
+    /// Start in `seen` of the surfaces of `(concept, edition)`, at
+    /// `2 * concept + edition` (edition 0 is English, 1 the foreign one).
+    offsets: Vec<usize>,
+    seen: Vec<bool>,
+}
+
+impl SenseRegistry {
+    fn new(concepts: &[ConceptSpec], other: &Language) -> Self {
+        let mut offsets = Vec::with_capacity(2 * concepts.len());
+        let mut total = 0;
+        for concept in concepts {
+            for language in [&Language::En, other] {
+                offsets.push(total);
+                total += concept.names(language).len();
+            }
+        }
+        Self {
+            offsets,
+            seen: vec![false; total],
+        }
+    }
+
+    /// Records in `truth` that surface `k` of `concept` (at position `c`)
+    /// was used in `edition`.
+    fn register(
+        &mut self,
+        truth: &mut TypeGroundTruth,
+        c: usize,
+        edition: usize,
+        k: usize,
+        language: &Language,
+        concept: &ConceptSpec,
+    ) {
+        let slot = self.offsets[2 * c + edition] + k;
+        if !std::mem::replace(&mut self.seen[slot], true) {
+            let surface = concept.names(language)[k];
+            truth.add_sense(language.clone(), &normalize_label(surface), concept.id);
+        }
     }
 }
 
@@ -674,37 +758,37 @@ fn select_template_concepts<'a>(
     english_coverage: f64,
     marginal_coverage: f64,
     target: f64,
-) -> std::collections::HashSet<&'a str> {
-    let mut order: Vec<&ConceptSpec> = concepts
-        .iter()
-        .filter(|c| !c.names(other).is_empty())
+) -> HashSet<&'a str> {
+    let mut order: Vec<usize> = (0..concepts.len())
+        .filter(|&c| !concepts[c].names(other).is_empty())
         .collect();
-    order.sort_by(|a, b| {
+    order.sort_by(|&a, &b| {
+        let (a, b) = (&concepts[a], &concepts[b]);
         b.commonness
             .partial_cmp(&a.commonness)
             .unwrap_or(std::cmp::Ordering::Equal)
             .then_with(|| a.id.cmp(b.id))
     });
 
-    // Memoised sort positions: scaled catalogs have thousands of concepts
-    // per type, and a linear `position` scan inside the prediction loop
-    // would make template selection cubic in the concept count. The lookup
-    // result is identical, so predicted overlaps (and thus the selected
-    // template) are unchanged for every configuration.
-    let position_of: HashMap<&str, usize> =
-        order.iter().enumerate().map(|(p, c)| (c.id, p)).collect();
+    // Sort position of each concept, by concept position: the prediction
+    // loop below runs once per candidate prefix over every concept, so its
+    // lookup must be an index, not a probe.
+    let mut position_of: Vec<Option<usize>> = vec![None; concepts.len()];
+    for (p, &c) in order.iter().enumerate() {
+        position_of[c] = Some(p);
+    }
     let predicted = |included: usize| -> f64 {
         let mut intersection = 0.0;
         let mut union = 0.0;
-        for concept in concepts {
+        for (concept, position) in concepts.iter().zip(&position_of) {
             let ce = if concept.en.is_empty() {
                 0.0
             } else {
                 english_coverage
             };
-            let cl = match position_of.get(concept.id) {
+            let cl = match *position {
                 None => 0.0,
-                Some(&p) if p < included => english_coverage,
+                Some(p) if p < included => english_coverage,
                 Some(_) => marginal_coverage,
             };
             let c = concept.commonness;
@@ -725,7 +809,7 @@ fn select_template_concepts<'a>(
             best = (included, error);
         }
     }
-    order.iter().take(best.0).map(|c| c.id).collect()
+    order[..best.0].iter().map(|&c| concepts[c].id).collect()
 }
 
 /// English/Portuguese month names used when rendering dates.
@@ -758,13 +842,25 @@ const MONTHS_PT: [&str; 12] = [
     "Dezembro",
 ];
 
+/// Capacity of a rendered value's buffer: every date, number and money
+/// value fits, so rendering one allocates once and never grows.
+const VALUE_CAPACITY: usize = 32;
+
 fn format_date(language: &Language, year: i32, month: u32, day: u32) -> String {
-    match language {
-        Language::En => format!("{} {}, {}", MONTHS_EN[(month - 1) as usize], day, year),
-        Language::Pt => format!("{} de {} de {}", day, MONTHS_PT[(month - 1) as usize], year),
-        Language::Vn => format!("ngày {} tháng {} năm {}", day, month, year),
-        Language::Other(_) => format!("{year}-{month:02}-{day:02}"),
-    }
+    let mut out = String::with_capacity(VALUE_CAPACITY);
+    let _ = match language {
+        Language::En => write!(out, "{} {}, {}", MONTHS_EN[(month - 1) as usize], day, year),
+        Language::Pt => write!(
+            out,
+            "{} de {} de {}",
+            day,
+            MONTHS_PT[(month - 1) as usize],
+            year
+        ),
+        Language::Vn => write!(out, "ngày {} tháng {} năm {}", day, month, year),
+        Language::Other(_) => write!(out, "{year}-{month:02}-{day:02}"),
+    };
+    out
 }
 
 fn format_number(language: &Language, value: f64, unit: &str) -> String {
@@ -782,29 +878,23 @@ fn format_number(language: &Language, value: f64, unit: &str) -> String {
         (Language::Vn, "pages") => " trang",
         _ => "",
     };
-    format!("{n}{unit_str}")
+    let mut out = String::with_capacity(VALUE_CAPACITY);
+    let _ = write!(out, "{n}{unit_str}");
+    out
 }
 
 fn format_money(language: &Language, millions: f64) -> String {
     let m = millions as i64;
-    match language {
-        Language::En => {
-            if m >= 1000 {
-                format!("${} billion", m / 1000)
-            } else {
-                format!("${m} million")
-            }
-        }
-        Language::Pt => {
-            if m >= 1000 {
-                format!("{} bilhões", m / 1000)
-            } else {
-                format!("{m} milhões")
-            }
-        }
-        Language::Vn => format!("{m} triệu USD"),
-        Language::Other(_) => format!("{m}000000"),
-    }
+    let mut out = String::with_capacity(VALUE_CAPACITY);
+    let _ = match language {
+        Language::En if m >= 1000 => write!(out, "${} billion", m / 1000),
+        Language::En => write!(out, "${m} million"),
+        Language::Pt if m >= 1000 => write!(out, "{} bilhões", m / 1000),
+        Language::Pt => write!(out, "{m} milhões"),
+        Language::Vn => write!(out, "{m} triệu USD"),
+        Language::Other(_) => write!(out, "{m}000000"),
+    };
+    out
 }
 
 /// Title word tables: (English, Portuguese, Vietnamese).

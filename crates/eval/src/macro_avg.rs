@@ -83,10 +83,7 @@ mod tests {
     use super::*;
 
     fn gold() -> TypeGroundTruth {
-        let mut gold = TypeGroundTruth {
-            type_id: "t".into(),
-            ..Default::default()
-        };
+        let mut gold = TypeGroundTruth::new("t");
         gold.add_sense(Language::Pt, "nascimento", "birth");
         gold.add_sense(Language::En, "born", "birth");
         gold.add_sense(Language::Pt, "falecimento", "death");

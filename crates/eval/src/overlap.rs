@@ -71,10 +71,7 @@ mod tests {
     use wiki_corpus::{Article, AttributeValue, Infobox};
 
     fn gold() -> TypeGroundTruth {
-        let mut gold = TypeGroundTruth {
-            type_id: "film".into(),
-            ..Default::default()
-        };
+        let mut gold = TypeGroundTruth::new("film");
         gold.add_sense(Language::En, "directed by", "director");
         gold.add_sense(Language::Pt, "direção", "director");
         gold.add_sense(Language::En, "country", "country");

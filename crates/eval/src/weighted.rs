@@ -166,10 +166,7 @@ mod tests {
     /// treats as template repetition counters.)
     #[test]
     fn paper_example_four() {
-        let mut gold = TypeGroundTruth {
-            type_id: "example".into(),
-            ..Default::default()
-        };
+        let mut gold = TypeGroundTruth::new("example");
         gold.add_sense(Language::Pt, "alpha", "c1");
         gold.add_sense(Language::Pt, "beta", "c2");
         gold.add_sense(Language::En, "prime one", "c1");
@@ -208,10 +205,7 @@ mod tests {
 
     #[test]
     fn incorrect_pairs_reduce_precision_only() {
-        let mut gold = TypeGroundTruth {
-            type_id: "t".into(),
-            ..Default::default()
-        };
+        let mut gold = TypeGroundTruth::new("t");
         gold.add_sense(Language::Pt, "nascimento", "birth");
         gold.add_sense(Language::En, "born", "birth");
         gold.add_sense(Language::Pt, "morte", "death");
@@ -239,10 +233,7 @@ mod tests {
 
     #[test]
     fn empty_inputs() {
-        let gold = TypeGroundTruth {
-            type_id: "t".into(),
-            ..Default::default()
-        };
+        let gold = TypeGroundTruth::new("t");
         let scores = weighted_scores(
             &[],
             &gold,
@@ -269,10 +260,7 @@ mod tests {
 
     #[test]
     fn frequency_weighting_matters() {
-        let mut gold = TypeGroundTruth {
-            type_id: "t".into(),
-            ..Default::default()
-        };
+        let mut gold = TypeGroundTruth::new("t");
         gold.add_sense(Language::Pt, "frequente", "c1");
         gold.add_sense(Language::En, "frequent", "c1");
         gold.add_sense(Language::Pt, "raro", "c2");

@@ -76,7 +76,7 @@ use wiki_query::CorrespondenceDictionary;
 use wikimatch::snapshot::{EngineSnapshot, FORMAT_VERSION};
 use wikimatch::{
     corpus_fingerprint, ComputeMode, CorpusDelta, DeltaJournal, DeltaReport, EngineStats,
-    MappedSnapshot, MatchEngine, SnapshotError, DIRECT_FORMAT_VERSION,
+    MappedSnapshot, MatchEngine, SnapshotError, TypeAlignment, DIRECT_FORMAT_VERSION,
 };
 
 /// Journal length at which [`Registry::mutate`] compacts: the whole chain
@@ -287,6 +287,15 @@ impl CorpusSpec {
     }
 }
 
+/// Regenerates the pristine dataset of `spec` inside the
+/// `corpus_generate` phase. Every cold load, replay fallback and compaction
+/// pays for it: snapshots and journals hold only derived artifacts and
+/// deltas, never the corpus itself.
+fn generate_pristine(spec: &CorpusSpec) -> Dataset {
+    let _span = wiki_obs::Span::enter("corpus_generate");
+    spec.dataset()
+}
+
 /// Error returned by registry operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RegistryError {
@@ -326,6 +335,7 @@ impl std::error::Error for RegistryError {}
 #[derive(Debug)]
 pub struct CachedCorpus {
     engine: Arc<MatchEngine>,
+    alignments: OnceLock<Vec<TypeAlignment>>,
     dictionary: OnceLock<CorrespondenceDictionary>,
     responses: ResponseCache,
 }
@@ -337,11 +347,12 @@ impl CachedCorpus {
 
     /// A fresh cache shell around an already-shared engine session — the
     /// post-mutation residency swap: the engine's patched artifacts carry
-    /// over, the memoised dictionary and serialized responses (computed
-    /// against the previous corpus state) start empty.
+    /// over, the memoised alignments, dictionary and serialized responses
+    /// (computed against the previous corpus state) start empty.
     fn sharing(engine: Arc<MatchEngine>) -> Self {
         Self {
             engine,
+            alignments: OnceLock::new(),
             dictionary: OnceLock::new(),
             responses: ResponseCache::default(),
         }
@@ -352,13 +363,18 @@ impl CachedCorpus {
         &self.engine
     }
 
-    /// The correspondence dictionary for query translation, derived from a
-    /// full alignment of the corpus on first use (concurrent first requests
-    /// coalesce on the slot).
+    /// The WikiMatch alignment of every type, computed once per residency
+    /// (concurrent first requests coalesce on the slot). `/align` over all
+    /// types and the query-translation dictionary share it.
+    pub fn alignments(&self) -> &[TypeAlignment] {
+        self.alignments.get_or_init(|| self.engine.align_all())
+    }
+
+    /// The correspondence dictionary for query translation, derived from
+    /// [`Self::alignments`] on first use.
     pub fn dictionary(&self) -> &CorrespondenceDictionary {
         self.dictionary.get_or_init(|| {
-            let alignments = self.engine.align_all();
-            CorrespondenceDictionary::build(&self.engine.dataset(), &alignments)
+            CorrespondenceDictionary::build(&self.engine.dataset(), self.alignments())
         })
     }
 
@@ -767,22 +783,29 @@ impl Registry {
         resolved
     }
 
-    /// Replays `journal.records[..upto]` over a copy of `pristine`,
-    /// verifying every record's post fingerprint as it lands. Returns the
-    /// replayed dataset and how many records verified — fewer than `upto`
-    /// only if a record fails to replay to its recorded fingerprint, which
-    /// the checksummed, chain-validated journal format makes practically
-    /// unreachable; the surviving prefix is still exact (divergence is
-    /// detected *after* the bad record, so the returned dataset is rebuilt
-    /// from the prefix alone).
-    fn replay_prefix(pristine: &Dataset, journal: &DeltaJournal, upto: usize) -> (Dataset, usize) {
-        let mut dataset = pristine.clone();
+    /// Replays `journal.records[..upto]` over `pristine` (the spec's
+    /// generated dataset, moved in: a corpus with nothing to replay reaches
+    /// the engine without a copy), verifying every record's post
+    /// fingerprint as it lands. Returns the replayed dataset and how many
+    /// records verified — fewer than `upto` only if a record fails to
+    /// replay to its recorded fingerprint, which the checksummed,
+    /// chain-validated journal format makes practically unreachable; the
+    /// surviving prefix is still exact (divergence is detected *after* the
+    /// bad record, so the returned dataset is rebuilt from the prefix
+    /// alone, over a regenerated pristine dataset).
+    fn replay_prefix(
+        spec: &CorpusSpec,
+        pristine: Dataset,
+        journal: &DeltaJournal,
+        upto: usize,
+    ) -> (Dataset, usize) {
+        let mut dataset = pristine;
         let mut verified = 0;
         for record in &journal.records[..upto] {
             record.delta.apply_to(&mut dataset.corpus);
             if corpus_fingerprint(&dataset) != record.post_fingerprint {
                 // Roll back to the verified prefix by replaying it afresh.
-                dataset = pristine.clone();
+                dataset = generate_pristine(spec);
                 for good in &journal.records[..verified] {
                     good.delta.apply_to(&mut dataset.corpus);
                 }
@@ -804,7 +827,7 @@ impl Registry {
     /// incremental patcher — a corpus that has moved past its snapshot
     /// falls back to base + replay, never to a cold rebuild.
     fn build_corpus(&self, entry: &CorpusEntry) -> CachedCorpus {
-        let pristine = entry.spec.dataset();
+        let mut pristine = generate_pristine(&entry.spec);
         let base_fingerprint = corpus_fingerprint(&pristine);
         let mut journal = self.resident_journal(entry, base_fingerprint);
 
@@ -868,7 +891,7 @@ impl Registry {
         }
 
         if let (Some(snapshot), Some(at)) = (snapshot, position) {
-            let (dataset, verified) = Self::replay_prefix(&pristine, &journal, at);
+            let (dataset, verified) = Self::replay_prefix(&entry.spec, pristine, &journal, at);
             if verified < at {
                 self.truncate_journal(entry, &mut journal, verified);
             } else {
@@ -906,11 +929,15 @@ impl Registry {
                     }
                 }
             }
+            // The restore took the pristine dataset and failed: the cold
+            // fallback below, rare by construction, regenerates it.
+            pristine = generate_pristine(&entry.spec);
         }
 
         // No usable snapshot: cold build over base + replay, so journaled
         // mutations are never lost.
-        let (dataset, verified) = Self::replay_prefix(&pristine, &journal, journal.len());
+        let (dataset, verified) =
+            Self::replay_prefix(&entry.spec, pristine, &journal, journal.len());
         if verified < journal.len() {
             self.truncate_journal(entry, &mut journal, verified);
         }
@@ -1233,7 +1260,7 @@ impl Registry {
         journal: &mut DeltaJournal,
         engine: &MatchEngine,
     ) -> bool {
-        let mut pristine = entry.spec.dataset();
+        let mut pristine = generate_pristine(&entry.spec);
         if corpus_fingerprint(&pristine) != journal.base_fingerprint {
             // The spec drifted under us; composing against the wrong base
             // would corrupt the lineage.
@@ -1794,6 +1821,25 @@ mod tests {
         assert!(!dict.is_empty());
         // Second call returns the same allocation.
         assert!(std::ptr::eq(dict, cached.dictionary()));
+    }
+
+    #[test]
+    fn dictionary_and_align_all_share_one_alignment_per_residency() {
+        let registry = registry_with(&["a"], 1);
+        let cached = registry.corpus("a").unwrap();
+        let _ = cached.dictionary();
+        let memoised = cached
+            .alignments
+            .get()
+            .expect("the dictionary memoises the alignments it is built from");
+        assert!(std::ptr::eq(memoised.as_slice(), cached.alignments()));
+        let pairs = |alignments: &[TypeAlignment]| -> Vec<_> {
+            alignments.iter().map(|a| a.cross_pairs()).collect()
+        };
+        assert_eq!(
+            pairs(cached.alignments()),
+            pairs(&cached.engine().align_all())
+        );
     }
 
     /// An upsert of one probe article whose attribute value varies by

@@ -1072,7 +1072,8 @@ fn json_200<T: serde::Serialize>(body: &T) -> Response {
 /// Shared body of `POST /align` and `POST /matchers`: resolve the corpus,
 /// validate the optional type, then serve the serialized [`AlignResponse`]
 /// from the residency's response cache (memoised under `cache_key`; on a
-/// cold key `align_one` / `align_all` compute the pairs).
+/// cold key `align_one` / `align_all` compute the pairs, the latter from
+/// the residency so it can reuse memoised alignments).
 #[allow(clippy::too_many_arguments)] // Both call sites pass every field.
 fn aligned_response(
     shared: &Shared,
@@ -1082,7 +1083,7 @@ fn aligned_response(
     cache_key: String,
     deadline: &RequestDeadline,
     align_one: impl Fn(&MatchEngine, &str) -> Option<Vec<(String, String)>>,
-    align_all: impl Fn(&MatchEngine) -> Vec<TypePairs>,
+    align_all: impl Fn(&CachedCorpus) -> Vec<TypePairs>,
 ) -> Response {
     let corpus = match resolve_corpus(shared, corpus_name) {
         Ok(corpus) => corpus,
@@ -1116,7 +1117,7 @@ fn aligned_response(
                     format!("type {type_id:?} vanished from corpus {corpus_name:?} mid-request")
                 })?,
             }],
-            None => align_all(engine),
+            None => align_all(&corpus),
         };
         // Nested inside `req_compute`, so serialization time is carved out
         // of the compute segment, not double-counted.
@@ -1164,9 +1165,9 @@ fn handle_align(shared: &Shared, request: &Request, deadline: &RequestDeadline) 
                 .align(type_id)
                 .map(|alignment| alignment.cross_pairs())
         },
-        |engine| {
-            engine
-                .align_all()
+        |corpus| {
+            corpus
+                .alignments()
                 .iter()
                 .map(|alignment| TypePairs {
                     type_id: alignment.type_id.clone(),
@@ -1202,8 +1203,9 @@ fn handle_matchers(shared: &Shared, request: &Request, deadline: &RequestDeadlin
         format!("matcher|{label}|{}", type_id.unwrap_or("*")),
         deadline,
         |engine, type_id| engine.align_with(matcher, type_id),
-        |engine| {
-            engine
+        |corpus| {
+            corpus
+                .engine()
                 .align_all_with(matcher)
                 .into_iter()
                 .map(|(type_id, pairs)| TypePairs { type_id, pairs })

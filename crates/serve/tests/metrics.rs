@@ -16,7 +16,7 @@ use wiki_corpus::{Language, SyntheticConfig};
 use wiki_obs::expo::{self, HistogramScrape, Sample};
 use wiki_obs::{LogLevel, RequestLog};
 use wiki_serve::client::MatchClient;
-use wiki_serve::protocol::{AlignRequest, StatsResponse};
+use wiki_serve::protocol::{AlignRequest, CorpusRequest, StatsResponse};
 use wiki_serve::registry::{CorpusSpec, Registry};
 use wiki_serve::server::{MatchServer, ServerConfig};
 use wikimatch::ComputeMode;
@@ -156,6 +156,47 @@ fn metrics_exposition_is_valid_and_aligns_move_the_request_histogram() {
     assert!(gauge("wm_queue_depth") >= 0.0);
     assert!(gauge("wm_uptime_seconds") >= 0.0);
     assert_eq!(gauge("wm_registry_capacity"), 2.0);
+
+    server.shutdown();
+}
+
+/// Regenerating a corpus is the largest CPU layer of a cold load, so a
+/// cold `/warm` must show up as the `corpus_generate` phase.
+#[test]
+fn cold_warm_records_the_corpus_generate_phase() {
+    let (server, mut client) = boot("pt-tiny-generate", default_config());
+    let (_, before) = scrape(&mut client);
+    let baseline = HistogramScrape::extract(
+        &before,
+        "wm_phase_seconds",
+        Some(("phase", "corpus_generate")),
+    )
+    .unwrap_or_default();
+
+    let response = client
+        .post(
+            "/warm",
+            &CorpusRequest {
+                corpus: "pt-tiny-generate".to_string(),
+            },
+        )
+        .expect("warm request");
+    assert!(response.is_success(), "{}", response.body);
+
+    let (text, after) = scrape(&mut client);
+    assert!(
+        text.contains("wm_phase_seconds_count{phase=\"corpus_generate\"}"),
+        "missing the corpus_generate phase in:\n{text}"
+    );
+    let generate = HistogramScrape::extract(
+        &after,
+        "wm_phase_seconds",
+        Some(("phase", "corpus_generate")),
+    )
+    .expect("corpus_generate child present after a cold warm");
+    let delta = generate.delta_from(&baseline);
+    assert!(delta.count >= 1.0, "generation not observed: {delta:?}");
+    assert!(delta.sum > 0.0, "generation took zero time: {delta:?}");
 
     server.shutdown();
 }
